@@ -78,9 +78,19 @@ impl AgasService {
     /// # Panics
     /// Panics if `locality` is out of range.
     pub fn allocate(&self, locality: u32) -> Gid {
-        let gid = self.allocators[locality as usize].allocate();
+        let gid = self.allocate_unbound(locality);
         self.tables.write().bindings.insert(gid, locality);
         gid
+    }
+
+    /// Allocate a GID born on `locality` without binding it, for names
+    /// nothing resolves (a continuation LCO lives only in its birth
+    /// locality's LCO table). Takes no lock and leaves no binding behind.
+    ///
+    /// # Panics
+    /// Panics if `locality` is out of range.
+    pub fn allocate_unbound(&self, locality: u32) -> Gid {
+        self.allocators[locality as usize].allocate()
     }
 
     /// Resolve the current locality of `gid`.
@@ -152,6 +162,17 @@ impl AgasService {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn allocate_unbound_is_unique_and_leaves_no_binding() {
+        let agas = AgasService::new(2);
+        let bound = agas.allocate(1);
+        let a = agas.allocate_unbound(1);
+        let b = agas.allocate_unbound(1);
+        assert!(a != b && a != bound && a.birth_locality() == 1);
+        assert_eq!(agas.bound_count(), 1);
+        assert_eq!(agas.resolve(a), Err(AgasError::UnknownGid(a)));
+    }
 
     #[test]
     fn allocate_binds_to_birth_locality() {

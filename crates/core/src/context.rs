@@ -127,9 +127,10 @@ impl Ctx {
             rpx_util::busy_charge(inv);
         }
         let here = self.here();
-        // The continuation LCO: a GID registered in AGAS, resolving to
-        // this locality, with the promise parked in the local LCO table.
-        let gid = self.runtime.agas().allocate(self.locality);
+        // The continuation LCO: a GID born on this locality, with the
+        // promise parked in the local LCO table. Nothing resolves it, so it
+        // is not bound in AGAS.
+        let gid = self.runtime.agas().allocate_unbound(self.locality);
         let (promise, future) = channel::<Bytes>();
         here.lco_table.insert(gid, dest, promise);
         here.port.send_parcel(Parcel {
@@ -256,6 +257,20 @@ mod tests {
             ctx.wait_all(futures).unwrap()
         });
         assert_eq!(out, (0..50).map(|i| i * i).collect::<Vec<u64>>());
+        rt.shutdown();
+    }
+
+    #[test]
+    fn round_trips_leave_no_agas_bindings() {
+        let rt = test_runtime(2);
+        let sq = rt.action("square_unbound").register(|x: u64| x * x);
+        let before = rt.agas().bound_count();
+        let sum = rt.run_on(0, move |ctx| {
+            let futures: Vec<_> = (0..10_000).map(|i| ctx.async_action(&sq, 1, i)).collect();
+            ctx.wait_all(futures).unwrap().into_iter().sum::<u64>()
+        });
+        assert_eq!(sum, (0..10_000u64).map(|i| i * i).sum());
+        assert_eq!(rt.agas().bound_count(), before);
         rt.shutdown();
     }
 

@@ -323,7 +323,9 @@ impl LcoTable {
     }
 
     fn complete(&self, gid: Gid, value: Bytes) -> bool {
-        match self.pending.lock().remove(&gid) {
+        // Fulfil outside the table lock: setting wakes the promise's waiters.
+        let entry = self.pending.lock().remove(&gid);
+        match entry {
             Some((_, mut promise)) => promise.set_ref(value).is_ok(),
             None => false,
         }

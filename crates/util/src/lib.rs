@@ -9,10 +9,10 @@
 //!   cost charging (`busy_charge`) used by the software network fabric to
 //!   model per-message overheads in real time.
 //! * [`timer`] — the deadline **timer service**: a dedicated hardware thread
-//!   draining a min-heap of deadlines with a park/spin hybrid wait. This is
-//!   the analogue of the Boost deadline timer the paper uses for the parcel
-//!   coalescing flush timer (§II-B), where the authors report firing within
-//!   ~33 µs of the requested deadline on average.
+//!   draining an ordered map of live deadlines with a park/spin hybrid wait.
+//!   This is the analogue of the Boost deadline timer the paper uses for
+//!   the parcel coalescing flush timer (§II-B), where the authors report
+//!   firing within ~33 µs of the requested deadline on average.
 //! * [`hist`] — lock-free histograms: fixed-width buckets backing the
 //!   `/coalescing/time/parcel-arrival-histogram` performance counter, and
 //!   log2 buckets ([`LogHistogram`]) for the wide-range parcel-path

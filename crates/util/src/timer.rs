@@ -8,17 +8,22 @@
 //! slicing would give millisecond errors and defeat microsecond-scale wait
 //! times.
 //!
-//! [`TimerService`] reproduces that design: one dedicated thread owns a
-//! min-heap of deadlines and uses a park/spin hybrid wait — parking until
-//! shortly before the earliest deadline and spinning the final stretch.
-//! Every firing records its error into an accuracy histogram, which the
-//! `timer_accuracy` bench and `repro timer` harness report against the
-//! paper's 33 µs figure.
+//! [`TimerService`] reproduces that design: one dedicated thread owns an
+//! ordered map of live deadlines and uses a park/spin hybrid wait — parking
+//! until shortly before the earliest deadline and spinning the final
+//! stretch. Cancelling a timer removes its entry, so the thread only ever
+//! parks or spins toward a deadline that can still fire. Every firing
+//! records its error into an accuracy histogram, which the `timer_accuracy`
+//! bench and `repro timer` harness report against the paper's 33 µs figure.
+//!
+//! Handshakes (the map and the shutdown flag share one lock; see DESIGN.md):
+//! arm wakes the thread only for a new head earlier than the one it parked
+//! toward; any change of the head bumps `head_gen`, which ends a spin; drop
+//! sets `shutdown` and notifies under the lock, so the wakeup is not lost.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -33,48 +38,33 @@ use crate::time::SPIN_THRESHOLD;
 /// callbacks delay subsequent deadlines.
 pub type TimerCallback = Box<dyn FnOnce() + Send + 'static>;
 
-struct Entry {
-    deadline: Instant,
-    id: u64,
-    callback: TimerCallback,
+/// A timer's place in the queue: its deadline, then its arming order.
+type Key = (Instant, u64);
+
+/// Where the timer thread waits, as published under the queue lock.
+#[derive(Clone, Copy)]
+enum Waiting {
+    No,
+    Toward(Instant),
+    Forever,
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.id == other.id
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.deadline
-            .cmp(&other.deadline)
-            .then(self.id.cmp(&other.id))
-    }
-}
-
-#[derive(Default)]
 struct Queue {
-    heap: BinaryHeap<Reverse<Entry>>,
-    /// Ids cancelled while still pending; popped entries in this set are
-    /// dropped without running their callback.
-    cancelled: HashSet<u64>,
-    /// Ids currently pending (armed, not yet fired or cancelled).
-    pending: HashSet<u64>,
+    timers: BTreeMap<Key, TimerCallback>,
+    waiting: Waiting,
+    shutdown: bool,
 }
 
 struct Inner {
     queue: Mutex<Queue>,
     cond: Condvar,
-    shutdown: AtomicBool,
+    /// Bumped under the lock whenever the first key changes or shutdown
+    /// starts; the spin stretch leaves when it moves.
+    head_gen: AtomicU64,
     next_id: AtomicU64,
     fired: AtomicU64,
-    cancelled_count: AtomicU64,
+    cancelled: AtomicU64,
+    spins: AtomicU64,
     accuracy: Mutex<OnlineStats>,
 }
 
@@ -84,8 +74,8 @@ struct Inner {
 /// flushing on timeout even if the arming code has moved on).
 #[derive(Clone)]
 pub struct TimerHandle {
-    id: u64,
-    inner: std::sync::Weak<Inner>,
+    key: Key,
+    inner: Weak<Inner>,
 }
 
 impl TimerHandle {
@@ -99,13 +89,18 @@ impl TimerHandle {
             return false;
         };
         let mut q = inner.queue.lock();
-        if q.pending.remove(&self.id) {
-            q.cancelled.insert(self.id);
-            inner.cancelled_count.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
+        if q.timers.keys().next() == Some(&self.key) {
+            inner.head_gen.fetch_add(1, Ordering::Release);
         }
+        let Some(callback) = q.timers.remove(&self.key) else {
+            return false;
+        };
+        // Drop the callback after the lock: its captures may own state
+        // whose drop arms or cancels a timer.
+        drop(q);
+        drop(callback);
+        inner.cancelled.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Whether this timer is still pending (armed and not yet fired or
@@ -113,8 +108,7 @@ impl TimerHandle {
     pub fn is_pending(&self) -> bool {
         self.inner
             .upgrade()
-            .map(|inner| inner.queue.lock().pending.contains(&self.id))
-            .unwrap_or(false)
+            .is_some_and(|inner| inner.queue.lock().timers.contains_key(&self.key))
     }
 }
 
@@ -125,6 +119,8 @@ pub struct TimerAccuracy {
     pub fired: u64,
     /// Number of timers cancelled before firing.
     pub cancelled: u64,
+    /// Number of spin stretches the thread entered toward a deadline.
+    pub spins: u64,
     /// Mean absolute firing error in microseconds.
     pub mean_error_us: f64,
     /// Maximum absolute firing error in microseconds.
@@ -160,12 +156,17 @@ impl TimerService {
     /// Spawn a new timer service with its own dedicated thread.
     pub fn new(name: &str) -> Self {
         let inner = Arc::new(Inner {
-            queue: Mutex::new(Queue::default()),
+            queue: Mutex::new(Queue {
+                timers: BTreeMap::new(),
+                waiting: Waiting::No,
+                shutdown: false,
+            }),
             cond: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            head_gen: AtomicU64::new(0),
             next_id: AtomicU64::new(1),
             fired: AtomicU64::new(0),
-            cancelled_count: AtomicU64::new(0),
+            cancelled: AtomicU64::new(0),
+            spins: AtomicU64::new(0),
             accuracy: Mutex::new(OnlineStats::new()),
         });
         let thread_inner = Arc::clone(&inner);
@@ -185,20 +186,28 @@ impl TimerService {
         deadline: Instant,
         callback: impl FnOnce() + Send + 'static,
     ) -> TimerHandle {
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        {
+        let key = (deadline, self.inner.next_id.fetch_add(1, Ordering::Relaxed));
+        let wake = {
             let mut q = self.inner.queue.lock();
-            q.pending.insert(id);
-            q.heap.push(Reverse(Entry {
-                deadline,
-                id,
-                callback: Box::new(callback),
-            }));
+            let is_head = q.timers.keys().next().is_none_or(|head| key < *head);
+            q.timers.insert(key, Box::new(callback));
+            if is_head {
+                self.inner.head_gen.fetch_add(1, Ordering::Release);
+            }
+            // A thread that is not parked re-reads the queue on its own; one
+            // parked toward an earlier deadline wakes in time for this one.
+            is_head
+                && match q.waiting {
+                    Waiting::No => false,
+                    Waiting::Toward(target) => deadline < target,
+                    Waiting::Forever => true,
+                }
+        };
+        if wake {
+            self.inner.cond.notify_one();
         }
-        // The new deadline may be earlier than what the thread is waiting on.
-        self.inner.cond.notify_one();
         TimerHandle {
-            id,
+            key,
             inner: Arc::downgrade(&self.inner),
         }
     }
@@ -214,7 +223,7 @@ impl TimerService {
 
     /// Number of timers currently pending.
     pub fn pending(&self) -> usize {
-        self.inner.queue.lock().pending.len()
+        self.inner.queue.lock().timers.len()
     }
 
     /// Firing accuracy statistics accumulated so far.
@@ -222,7 +231,8 @@ impl TimerService {
         let stats = self.inner.accuracy.lock().clone();
         TimerAccuracy {
             fired: self.inner.fired.load(Ordering::Relaxed),
-            cancelled: self.inner.cancelled_count.load(Ordering::Relaxed),
+            cancelled: self.inner.cancelled.load(Ordering::Relaxed),
+            spins: self.inner.spins.load(Ordering::Relaxed),
             mean_error_us: stats.mean(),
             max_error_us: stats.max().unwrap_or(0.0),
             stddev_error_us: stats.stddev(),
@@ -232,8 +242,12 @@ impl TimerService {
 
 impl Drop for TimerService {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.cond.notify_all();
+        {
+            let mut q = self.inner.queue.lock();
+            q.shutdown = true;
+            self.inner.head_gen.fetch_add(1, Ordering::Release);
+            self.inner.cond.notify_all();
+        }
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -241,69 +255,50 @@ impl Drop for TimerService {
 }
 
 fn timer_loop(inner: Arc<Inner>) {
+    let mut q = inner.queue.lock();
     loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
+        if q.shutdown {
             return;
         }
-        let mut due: Vec<(Instant, TimerCallback)> = Vec::new();
-        {
-            let mut q = inner.queue.lock();
-            loop {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let now = Instant::now();
-                match q.heap.peek() {
-                    None => {
-                        inner.cond.wait(&mut q);
-                        continue;
-                    }
-                    Some(Reverse(entry)) if entry.deadline > now => {
-                        let remaining = entry.deadline - now;
-                        if remaining > SPIN_THRESHOLD {
-                            // Park until just before the deadline; a newly
-                            // armed earlier timer wakes us via the condvar.
-                            let _ = inner.cond.wait_for(&mut q, remaining - SPIN_THRESHOLD);
-                            continue;
-                        }
-                        // Spin the final stretch outside the lock so arming
-                        // threads are not blocked.
-                        let deadline = entry.deadline;
-                        drop(q);
-                        while Instant::now() < deadline {
-                            if inner.shutdown.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            std::hint::spin_loop();
-                        }
-                        q = inner.queue.lock();
-                        continue;
-                    }
-                    Some(_) => {
-                        // Pop every entry that is due.
-                        while let Some(Reverse(e)) = q.heap.peek() {
-                            if e.deadline > Instant::now() {
-                                break;
-                            }
-                            let Reverse(entry) = q.heap.pop().expect("peeked entry");
-                            if q.cancelled.remove(&entry.id) {
-                                continue;
-                            }
-                            q.pending.remove(&entry.id);
-                            due.push((entry.deadline, entry.callback));
-                        }
-                        break;
-                    }
-                }
-            }
-        }
         let now = Instant::now();
-        for (deadline, callback) in due {
-            let err_us = (now.saturating_duration_since(deadline)).as_secs_f64() * 1e6;
+        let Some(&(deadline, _)) = q.timers.keys().next() else {
+            q.waiting = Waiting::Forever;
+            inner.cond.wait(&mut q);
+            q.waiting = Waiting::No;
+            continue;
+        };
+        if deadline > now {
+            if deadline - now > SPIN_THRESHOLD {
+                // Park until just before the deadline; an earlier timer
+                // armed meanwhile wakes us via the condvar.
+                q.waiting = Waiting::Toward(deadline);
+                let _ = inner.cond.wait_until(&mut q, deadline - SPIN_THRESHOLD);
+                q.waiting = Waiting::No;
+                continue;
+            }
+            // Spin the final stretch outside the lock so arming threads are
+            // not blocked; leave early if the head changes.
+            let gen = inner.head_gen.load(Ordering::Acquire);
+            inner.spins.fetch_add(1, Ordering::Relaxed);
+            drop(q);
+            while Instant::now() < deadline && inner.head_gen.load(Ordering::Acquire) == gen {
+                std::hint::spin_loop();
+            }
+            q = inner.queue.lock();
+            continue;
+        }
+        // Take every due entry; callbacks run outside the lock.
+        let later = q.timers.split_off(&(now, u64::MAX));
+        let due = std::mem::replace(&mut q.timers, later);
+        drop(q);
+        let now = Instant::now();
+        for ((deadline, _), callback) in due {
+            let err_us = now.saturating_duration_since(deadline).as_secs_f64() * 1e6;
             inner.accuracy.lock().push(err_us);
             inner.fired.fetch_add(1, Ordering::Relaxed);
             callback();
         }
+        q = inner.queue.lock();
     }
 }
 
