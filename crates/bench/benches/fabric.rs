@@ -1,5 +1,6 @@
 //! Fabric benchmark: per-message pump cost under different link models —
-//! the raw overhead economics coalescing exploits.
+//! the raw overhead economics coalescing exploits — and the frame codec
+//! every transport runs per message (encode + checksum-verified decode).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -7,7 +8,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rpx_net::{Fabric, LinkModel, Message, MessageKind};
+use rpx_net::{decode_frame_in_place, encode_frame, Fabric, LinkModel, Message, MessageKind};
 
 fn pump_n_messages(model: LinkModel, n: usize, payload: usize) {
     let fabric = Fabric::new(2, model);
@@ -59,5 +60,29 @@ fn bench_fabric(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fabric);
+/// One frame's encode plus its in-place, checksum-verified decode: the
+/// codec cost a message pays on every backend, dominated by the
+/// checksum for all but the smallest payloads.
+fn bench_frame_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("frame_codec");
+    for payload in [64usize, 1024, 4096] {
+        let bytes: Vec<u8> = (0..payload).map(|i| (i * 31 + 7) as u8).collect();
+        let message = Message::new(0, 1, MessageKind::Coalesced, Bytes::from(bytes)).with_seq(42);
+        group.throughput(Throughput::Bytes(payload as u64));
+        group.bench_with_input(
+            BenchmarkId::new("encode_decode", payload),
+            &message,
+            |b, m| {
+                b.iter(|| {
+                    let frame = encode_frame(m);
+                    let view = decode_frame_in_place(&frame[4..]).expect("valid frame");
+                    view.payload.len()
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_fabric, bench_frame_codec);
 criterion_main!(benches);

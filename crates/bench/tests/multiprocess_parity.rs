@@ -6,8 +6,8 @@
 //! failures instead of hanging.
 //!
 //! The N-process cases shell out to the `repro` binary (`launch` /
-//! `worker` subcommands), discovered next to this test binary's target
-//! directory; `RPX_REPRO_BIN` overrides discovery. Timing-dependent
+//! `worker` subcommands) of this package, which cargo builds before it
+//! runs the suite (`CARGO_BIN_EXE_repro`). Timing-dependent
 //! quantities (coalesced message counts) are deliberately *not* parity
 //! quantities — only shape properties are asserted for those.
 
@@ -42,25 +42,15 @@ fn worker_toy_cfg() -> MultiprocToyConfig {
     }
 }
 
-/// Locate the `repro` binary: `RPX_REPRO_BIN`, else next to this test
-/// binary (`target/<profile>/deps/self` → `target/<profile>/repro`).
-fn repro_bin() -> Option<PathBuf> {
-    if let Ok(path) = std::env::var("RPX_REPRO_BIN") {
-        let path = PathBuf::from(path);
-        return path.exists().then_some(path);
-    }
-    let exe = std::env::current_exe().ok()?;
-    let profile_dir = exe.parent()?.parent()?;
-    let candidate = profile_dir.join("repro");
-    candidate.exists().then_some(candidate)
+/// The `repro` binary cargo built for this test run.
+fn repro_bin() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_repro"))
 }
 
 /// Run `repro launch` against a private counters dir; returns the exit
 /// code, elapsed wall time, and the aggregate report text (if written).
 fn run_launch(tag: &str, args: &[&str], env: &[(&str, &str)]) -> (i32, Duration, Option<String>) {
-    let Some(bin) = repro_bin() else {
-        panic!("repro binary not found; build it or set RPX_REPRO_BIN");
-    };
+    let bin = repro_bin();
     let dir = std::env::temp_dir().join(format!("rpx-parity-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let start = Instant::now();
@@ -359,7 +349,7 @@ fn killed_rank_fails_fast_without_hanging() {
 /// pending result promises — never hang waiting for replies.
 #[test]
 fn survivor_exits_nonzero_without_launcher_intervention() {
-    let bin = repro_bin().expect("repro binary not found; build it or set RPX_REPRO_BIN");
+    let bin = repro_bin();
     let book = reserve_addrs(2)
         .iter()
         .map(|a| a.to_string())

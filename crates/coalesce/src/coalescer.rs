@@ -17,14 +17,17 @@
 //!   to the action-level aggregate. A per-destination adaptive controller
 //!   (`rpx-adaptive`) can then steer a hot peer and a cold peer to
 //!   different operating points simultaneously.
+//!
+//! Destination state lives in a [`SlotTable`] indexed by locality id.
+//! `submit` borrows its destination's slot with one atomic load — no
+//! lock, no hash, no refcount change; only the first parcel to a new
+//! destination takes the table's writer mutex to create the state.
 
-use std::collections::HashMap;
 use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use rpx_counters::CounterRegistry;
 use rpx_parcel::{Parcel, ParcelInterceptor, SendPath};
+use rpx_util::sync::SlotTable;
 use rpx_util::TimerService;
 
 use crate::counters::CoalescingCounters;
@@ -34,7 +37,6 @@ use crate::queue::{CoalescingQueue, FlushPolicy};
 /// Everything one destination owns: its queue plus the parameter handle
 /// and counters the queue reads (shared with the action in global mode,
 /// private in per-destination mode).
-#[derive(Clone)]
 struct DestState {
     params: ParamsHandle,
     counters: Arc<CoalescingCounters>,
@@ -50,7 +52,9 @@ pub struct Coalescer {
     timer: Arc<TimerService>,
     path: Arc<dyn SendPath>,
     counters: Arc<CoalescingCounters>,
-    dests: RwLock<HashMap<u32, DestState>>,
+    /// Per-destination state indexed by locality id; created on first
+    /// use and never replaced.
+    dests: SlotTable<DestState>,
 }
 
 impl Coalescer {
@@ -122,7 +126,7 @@ impl Coalescer {
             timer,
             path,
             counters: CoalescingCounters::new(),
-            dests: RwLock::new(HashMap::new()),
+            dests: SlotTable::new(),
         })
     }
 
@@ -158,7 +162,7 @@ impl Coalescer {
     /// In global mode this is the shared action-level handle; in
     /// per-destination mode it is `dst`'s private handle.
     pub fn params_for(&self, dst: u32) -> ParamsHandle {
-        self.dest_for(dst).params
+        self.dest_for(dst).params.clone()
     }
 
     /// The counters recording parcels bound for `dst`, creating the
@@ -168,13 +172,15 @@ impl Coalescer {
     /// per-destination mode it is `dst`'s private set (which forwards to
     /// the aggregate).
     pub fn counters_for(&self, dst: u32) -> Arc<CoalescingCounters> {
-        self.dest_for(dst).counters
+        Arc::clone(&self.dest_for(dst).counters)
     }
 
     /// Destinations this coalescer has seen traffic for (or had state
-    /// created for via [`Coalescer::params_for`]), unordered.
+    /// created for via [`Coalescer::params_for`]), in ascending order.
     pub fn destinations(&self) -> Vec<u32> {
-        self.dests.read().keys().copied().collect()
+        let mut dsts = Vec::new();
+        self.dests.for_each(|dst, _| dsts.push(dst as u32));
+        dsts
     }
 
     /// Register this action's `/coalescing/*` counters in `registry`.
@@ -182,42 +188,38 @@ impl Coalescer {
         self.counters.register(registry, &self.action_name);
     }
 
-    /// Parcels currently buffered across all destinations.
+    /// Parcels held across all destinations: buffered in a queue, or
+    /// taken by a flush and not yet handed to the send path.
     pub fn pending(&self) -> usize {
-        self.dests.read().values().map(|d| d.queue.pending()).sum()
+        let mut n = 0;
+        self.dests.for_each(|_, d| n += d.queue.pending());
+        n
     }
 
-    fn dest_for(&self, dst: u32) -> DestState {
-        if let Some(d) = self.dests.read().get(&dst) {
-            return d.clone();
-        }
-        let mut dests = self.dests.write();
-        dests
-            .entry(dst)
-            .or_insert_with(|| {
-                let (params, counters) = if self.per_destination {
-                    (
-                        ParamsHandle::new(self.params.load()),
-                        CoalescingCounters::with_parent(Arc::clone(&self.counters)),
-                    )
-                } else {
-                    (self.params.clone(), Arc::clone(&self.counters))
-                };
-                let queue = CoalescingQueue::with_policy(
-                    dst,
-                    params.clone(),
-                    self.policy,
-                    Arc::clone(&self.timer),
-                    Arc::clone(&self.path),
-                    Arc::clone(&counters),
-                );
-                DestState {
-                    params,
-                    counters,
-                    queue,
-                }
+    fn dest_for(&self, dst: u32) -> &DestState {
+        self.dests.get_or_insert_with(dst as usize, || {
+            let (params, counters) = if self.per_destination {
+                (
+                    ParamsHandle::new(self.params.load()),
+                    CoalescingCounters::with_parent(Arc::clone(&self.counters)),
+                )
+            } else {
+                (self.params.clone(), Arc::clone(&self.counters))
+            };
+            let queue = CoalescingQueue::with_policy(
+                dst,
+                params.clone(),
+                self.policy,
+                Arc::clone(&self.timer),
+                Arc::clone(&self.path),
+                Arc::clone(&counters),
+            );
+            Arc::new(DestState {
+                params,
+                counters,
+                queue,
             })
-            .clone()
+        })
     }
 }
 
@@ -227,15 +229,11 @@ impl ParcelInterceptor for Coalescer {
     }
 
     fn flush(&self) {
-        let queues: Vec<_> = self
-            .dests
-            .read()
-            .values()
-            .map(|d| Arc::clone(&d.queue))
-            .collect();
-        for q in queues {
-            q.flush();
-        }
+        self.dests.for_each(|_, d| d.queue.flush());
+    }
+
+    fn pending(&self) -> usize {
+        Coalescer::pending(self)
     }
 }
 
@@ -434,6 +432,84 @@ mod tests {
         c.params_for(3).set_nparcels(5);
         assert_eq!(c.params().load().nparcels, 5, "global handle is shared");
         assert_eq!(c.params_for(7).load().nparcels, 5);
+    }
+
+    #[test]
+    fn racing_first_submits_create_one_destination() {
+        let path = Arc::new(MockPath {
+            batches: Mutex::new(Vec::new()),
+        });
+        let timer = Arc::new(TimerService::new("coalescer-first-race"));
+        let c = Coalescer::per_destination(
+            "act",
+            ParamsHandle::new(CoalescingParams::new(1000, Duration::from_secs(10))),
+            FlushPolicy::Append,
+            Arc::clone(&timer),
+            path.clone() as _,
+        );
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (c, start) = (&c, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..50 {
+                        c.submit(parcel(t * 1000 + i, 5));
+                    }
+                });
+            }
+        });
+        assert_eq!(c.destinations(), vec![5]);
+        // One queue and one counter set: a second, raced-in queue would
+        // strand its parcels where neither of these sees them.
+        assert_eq!(c.pending(), 400);
+        assert_eq!(c.counters_for(5).parcels.get(), 400);
+        c.flush();
+        assert_eq!(c.pending(), 0);
+        let batches = path.batches.lock();
+        assert_eq!(batches.len(), 1, "one queue flushed once");
+        let mut seen = std::collections::HashSet::new();
+        for p in &batches[0].1 {
+            assert!(seen.insert(p.id), "parcel {} twice", p.id);
+        }
+        assert_eq!(seen.len(), 400);
+    }
+
+    #[test]
+    fn pending_counts_a_batch_until_the_send_path_has_it() {
+        // A send path that reports the coalescer's pending count while
+        // the batch is being handed over.
+        struct Probe {
+            coalescer: Mutex<Option<Arc<Coalescer>>>,
+            seen: Mutex<Vec<usize>>,
+        }
+        impl SendPath for Probe {
+            fn emit(&self, _dst: u32, batch: ParcelBatch) {
+                let c = self.coalescer.lock().clone().expect("wired");
+                self.seen.lock().push(c.pending());
+                drop(batch);
+            }
+        }
+        let probe = Arc::new(Probe {
+            coalescer: Mutex::new(None),
+            seen: Mutex::new(Vec::new()),
+        });
+        let timer = Arc::new(TimerService::new("coalescer-pending"));
+        let c = Coalescer::new(
+            "act",
+            CoalescingParams::new(100, Duration::from_secs(10)),
+            Arc::clone(&timer),
+            probe.clone() as _,
+        );
+        *probe.coalescer.lock() = Some(Arc::clone(&c));
+        for i in 0..3 {
+            c.submit(parcel(i, 1));
+        }
+        assert_eq!(ParcelInterceptor::pending(&*c), 3);
+        c.flush();
+        assert_eq!(*probe.seen.lock(), vec![3], "in-emit batch counted");
+        assert_eq!(c.pending(), 0, "settled after the emit");
+        probe.coalescer.lock().take();
     }
 
     #[test]

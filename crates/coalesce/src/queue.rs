@@ -28,6 +28,7 @@
 //! when the transport drops them, and counter updates and timestamping
 //! happen outside the state lock.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,6 +82,11 @@ pub struct CoalescingQueue {
     /// `Vec<Parcel>` here on drop, and the next fill re-uses it.
     pool: Arc<BufferPool>,
     state: Mutex<State>,
+    /// Parcels a flush has taken out of `state.buffer` and not yet handed
+    /// to the send path: raised under the state lock, lowered after the
+    /// emit, so [`CoalescingQueue::pending`] never misses a batch between
+    /// the two.
+    in_emit: AtomicUsize,
 }
 
 impl CoalescingQueue {
@@ -126,6 +132,7 @@ impl CoalescingQueue {
                 epoch: 0,
                 timer: None,
             }),
+            in_emit: AtomicUsize::new(0),
         })
     }
 
@@ -134,9 +141,11 @@ impl CoalescingQueue {
         self.dst
     }
 
-    /// Parcels currently buffered.
+    /// Parcels currently held: buffered, or flushed and still on their
+    /// way to the send path.
     pub fn pending(&self) -> usize {
-        self.state.lock().buffer.len()
+        let st = self.state.lock();
+        st.buffer.len() + self.in_emit.load(Ordering::Acquire)
     }
 
     /// Spare recycled buffers currently pooled (observability/tests).
@@ -239,8 +248,10 @@ impl CoalescingQueue {
     }
 
     /// Take the buffered parcels, cancel the timer, bump the epoch.
-    /// Caller records counters and emits after releasing the state lock;
-    /// the replacement buffer is drawn lazily from the pool on next push.
+    /// Caller records counters and emits (through
+    /// [`CoalescingQueue::emit_buf`], which settles `in_emit`) after
+    /// releasing the state lock; the replacement buffer is drawn lazily
+    /// from the pool on next push.
     fn flush_locked(&self, st: &mut State) -> Option<Vec<Parcel>> {
         if let Some(t) = st.timer.take() {
             t.cancel();
@@ -250,6 +261,7 @@ impl CoalescingQueue {
             return None;
         }
         st.bytes = 0;
+        self.in_emit.fetch_add(st.buffer.len(), Ordering::Relaxed);
         Some(std::mem::take(&mut st.buffer))
     }
 
@@ -269,12 +281,16 @@ impl CoalescingQueue {
 
     /// Record counters and hand a flushed buffer to the send path.
     fn emit_buf(&self, buf: Vec<Parcel>) {
-        self.counters.record_message(buf.len());
+        let n = buf.len();
+        self.counters.record_message(n);
         if self.policy == FlushPolicy::Mailbox {
             self.path.note_mailbox_flushed();
         }
         self.path
             .emit(self.dst, ParcelBatch::from_pool(buf, &self.pool));
+        // Release: a reader that sees the count drop also sees the batch
+        // in the send path's queue.
+        self.in_emit.fetch_sub(n, Ordering::Release);
     }
 }
 

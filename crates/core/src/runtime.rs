@@ -1499,12 +1499,17 @@ impl Runtime {
     }
 
     /// Block until all localities are quiescent (no pending tasks and no
-    /// parcels in flight). Returns `false` on timeout.
+    /// parcels in flight, including parcels a coalescer still holds).
+    /// Returns `false` on timeout.
     pub fn wait_quiescent(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {
+            // Within a locality each send-side stage is read before the
+            // stage it feeds, so a parcel moving downstream during the
+            // sweep is seen at its next stage.
             let busy = self.localities.iter().any(|l| {
                 l.scheduler.pending_tasks() > 0
+                    || l.port.interceptor_pending() > 0
                     || l.port.egress_backlog() > 0
                     || l.port.processing() > 0
                     || l.port.net().outbound_backlog() > 0

@@ -50,8 +50,10 @@ use std::time::{Duration, Instant};
 /// Magic tag leading every bootstrap frame (`"RPXB"` big-endian).
 pub const BOOTSTRAP_MAGIC: u32 = 0x5250_5842;
 /// Version of the bootstrap handshake protocol (v2 added per-rank
-/// [`HostId`]s to `HELLO` and `BOOK` frames).
-pub const BOOTSTRAP_VERSION: u16 = 2;
+/// [`HostId`]s to `HELLO` and `BOOK` frames; v3 marks the switch of the
+/// data-frame checksum from FNV-1a to CRC-32C, so ranks from builds on
+/// either side of it fail the handshake instead of dropping every frame).
+pub const BOOTSTRAP_VERSION: u16 = 3;
 
 const KIND_HELLO: u8 = 1;
 const KIND_BOOK: u8 = 2;

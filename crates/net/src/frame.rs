@@ -15,11 +15,14 @@
 //!
 //! `len` counts every byte after the length field itself, which is what a
 //! streaming reader needs to know how much to pull off a socket. `crc` is
-//! an FNV-1a checksum over `src`, `dst`, the kind byte (version bit
-//! included), the seq field when present, and the payload: a flipped bit
-//! anywhere in a frame is detected at decode time, counted as a decode
-//! failure and dropped — the uniform receive-side fault contract both
-//! [`crate::SimTransport`] and [`crate::TcpTransport`] honour.
+//! a CRC-32C over `src`, `dst`, the kind byte (version bit included), the
+//! seq field when present, and the payload: a flipped bit anywhere in a
+//! frame is detected at decode time, counted as a decode failure and
+//! dropped — the uniform receive-side fault contract both
+//! [`crate::SimTransport`] and [`crate::TcpTransport`] honour. Ranks agree
+//! on the checksum through the bootstrap protocol version
+//! ([`crate::BOOTSTRAP_VERSION`] 3): a rank built with another checksum
+//! fails the handshake instead of dropping every frame.
 //!
 //! The simulated fabric moves `Message` structs directly (no copy on the
 //! hot path) but charges **frame** bytes to its byte counters and routes
@@ -28,6 +31,7 @@
 
 use bytes::Bytes;
 
+use crate::crc32c;
 use crate::message::{DeliveryClass, Message, MessageKind};
 
 /// Bytes of frame overhead ahead of the payload for an **unsequenced**
@@ -99,32 +103,21 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// FNV-1a over the checksummed region (src, dst, kind byte, optional seq,
-/// payload).
+/// CRC-32C over the checksummed region (src, dst, kind byte, optional
+/// seq, payload).
 fn checksum(src: u32, dst: u32, kind_byte: u8, seq: Option<u64>, payload: &[u8]) -> u32 {
-    const OFFSET: u32 = 0x811c_9dc5;
-    const PRIME: u32 = 0x0100_0193;
-    let mut h = OFFSET;
-    let mut eat = |b: u8| {
-        h ^= b as u32;
-        h = h.wrapping_mul(PRIME);
-    };
-    for b in src.to_le_bytes() {
-        eat(b);
-    }
-    for b in dst.to_le_bytes() {
-        eat(b);
-    }
-    eat(kind_byte);
-    if let Some(seq) = seq {
-        for b in seq.to_le_bytes() {
-            eat(b);
+    let mut head = [0u8; 9 + SEQ_OVERHEAD];
+    head[0..4].copy_from_slice(&src.to_le_bytes());
+    head[4..8].copy_from_slice(&dst.to_le_bytes());
+    head[8] = kind_byte;
+    let head_len = match seq {
+        Some(seq) => {
+            head[9..].copy_from_slice(&seq.to_le_bytes());
+            head.len()
         }
-    }
-    for &b in payload {
-        eat(b);
-    }
-    h
+        None => 9,
+    };
+    !crc32c::update(crc32c::update(!0, &head[..head_len]), payload)
 }
 
 /// Encode `message` into one self-delimiting frame (v2 when the message
@@ -373,6 +366,37 @@ mod tests {
             let mut frame = encode_frame(&m);
             corrupt_frame(&mut frame);
             assert!(matches!(decode_frame(&frame), Err(FrameError::Checksum)));
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_1kib_frame_is_rejected() {
+        let payload: Vec<u8> = (0..1024 - FRAME_HEADER_LEN - SEQ_OVERHEAD)
+            .map(|i| (i * 13 + 5) as u8)
+            .collect();
+        for m in [msg(&payload), msg(&payload).with_seq(0x0123_4567_89ab_cdef)] {
+            let frame = encode_frame(&m);
+            assert!(frame.len() >= 1016);
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                let got = decode_frame(&bad);
+                match bit / 8 {
+                    // The length prefix is framing, not checksummed: a flip
+                    // there reads a wrong span, which fails one way or
+                    // another.
+                    0..=3 => assert!(got.is_err(), "length bit {bit} decoded"),
+                    // A kind-byte flip can also name an unknown kind or
+                    // class, or toggle the seq flag.
+                    12 => assert!(got.is_err(), "kind bit {bit} decoded"),
+                    _ => assert_eq!(
+                        got.map(|_| ()),
+                        Err(FrameError::Checksum),
+                        "bit {bit} of {}",
+                        frame.len()
+                    ),
+                }
+            }
         }
     }
 

@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod bootstrap;
+mod crc32c;
 pub mod fabric;
 pub mod fault;
 pub mod frame;

@@ -73,6 +73,11 @@ pub trait ParcelInterceptor: Send + Sync {
     fn submit(&self, parcel: Parcel);
     /// Flush any internally queued parcels immediately.
     fn flush(&self);
+    /// Parcels this interceptor holds that have not reached the send
+    /// path yet (quiescence detection counts them as in flight).
+    fn pending(&self) -> usize {
+        0
+    }
 }
 
 /// Schedules a closure as a lightweight task on the locality's scheduler.
@@ -541,13 +546,15 @@ impl ParcelPort {
 
     /// Flush every interceptor's queued parcels.
     pub fn flush_interceptors(&self) {
-        let mut pending = Vec::new();
-        self.inner
-            .interceptors
-            .for_each(|_, i| pending.push(Arc::clone(i)));
-        for i in pending {
-            i.flush();
-        }
+        self.inner.interceptors.for_each(|_, i| i.flush());
+    }
+
+    /// Parcels held inside interceptors (coalescing queues and flushes
+    /// on their way to egress), summed over every action.
+    pub fn interceptor_pending(&self) -> usize {
+        let mut n = 0;
+        self.inner.interceptors.for_each(|_, i| n += i.pending());
+        n
     }
 
     /// Submit a parcel for transmission.
@@ -745,7 +752,7 @@ fn route_parcel(inner: &Inner, parcel: Parcel) {
     ) {
         return;
     }
-    match inner.interceptors.get(parcel.action.0 as usize) {
+    match inner.interceptors.get_ref(parcel.action.0 as usize) {
         Some(i) => i.submit(parcel),
         None => {
             let dst = parcel.dest_locality;

@@ -152,6 +152,12 @@ impl Inner {
     /// does not park). A residual miss against the *background-work*
     /// probe (which is not a queue) is bounded by `idle_park`, exactly as
     /// with the unconditional notify this replaces.
+    ///
+    /// A sleeper holds `sleep_lock` from its increment until its wait
+    /// releases it, so passing through the lock before notifying means
+    /// the sleeper has either re-checked the queues after our publish or
+    /// is registered on the condvar — which skips the notify only when
+    /// nobody waits.
     fn wake_workers(&self, n: usize) {
         fence(Ordering::SeqCst);
         let sleepers = self.sleepers.load(Ordering::Relaxed);
@@ -159,6 +165,7 @@ impl Inner {
             self.stats.count_wakeup_skipped();
             return;
         }
+        drop(self.sleep_lock.lock());
         if n >= sleepers {
             self.sleep_cv.notify_all();
         } else {
@@ -438,7 +445,10 @@ impl Scheduler {
     /// Idempotent. Called automatically on drop.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Unconditional: every parked worker must observe the flag.
+        // Unconditional: every parked worker must observe the flag. A
+        // worker checks it under `sleep_lock` before parking, so passing
+        // through the lock orders this notify after that check.
+        drop(self.inner.sleep_lock.lock());
         self.inner.sleep_cv.notify_all();
         let mut threads = self.threads.lock();
         for t in threads.drain(..) {

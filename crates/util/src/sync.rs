@@ -13,7 +13,8 @@
 //!   existing slots at stable addresses forever, so readers never need a
 //!   lock or an epoch; replaced entries are *retired*, not freed, and
 //!   reclaimed when the table drops (readers hold `&self`, so none exist
-//!   by then).
+//!   by then). That also makes a plain borrow of a slot's value
+//!   ([`SlotTable::get_ref`]) sound for as long as the table is borrowed.
 //! * [`BitTable`] — a grow-only atomic bitset over small sequential ids.
 //! * [`ArcCell`] — a single lock-free `Arc` slot with the same
 //!   retire-on-replace discipline.
@@ -115,6 +116,57 @@ impl<T: ?Sized> SlotTable<T> {
         Some(unsafe { (*ptr).clone() })
     }
 
+    /// Borrow the value at `index` without touching its refcount.
+    ///
+    /// Sound for as long as `&self` lives: a concurrent `set`/`clear`
+    /// retires the replaced box instead of freeing it, so the borrowed
+    /// value outlives every reader.
+    #[inline]
+    pub fn get_ref(&self, index: usize) -> Option<&T> {
+        let ptr = self.slot(index)?.load(Ordering::Acquire);
+        if ptr.is_null() {
+            return None;
+        }
+        // SAFETY: as in `get`; retired boxes live until the table drops,
+        // which needs `&mut self` and so ends every borrow first.
+        Some(unsafe { &**ptr })
+    }
+
+    /// Borrow the value at `index`, installing `make()` first when the
+    /// slot is empty. The check-and-install runs under the writer mutex,
+    /// so concurrent first calls for one slot install exactly one value
+    /// and all return it; calls that find the slot filled take no lock.
+    pub fn get_or_insert_with(&self, index: usize, make: impl FnOnce() -> Arc<T>) -> &T {
+        if let Some(value) = self.get_ref(index) {
+            return value;
+        }
+        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let slot = self.slot_or_alloc(index);
+        let mut ptr = slot.load(Ordering::Acquire);
+        if ptr.is_null() {
+            ptr = Box::into_raw(Box::new(make()));
+            slot.store(ptr, Ordering::Release);
+        }
+        // SAFETY: non-null slot value, live until the table drops.
+        unsafe { &*ptr }
+    }
+
+    /// The slot for `index`, allocating its bucket if needed. Callers hold
+    /// the writer mutex, which serializes bucket allocation.
+    fn slot_or_alloc(&self, index: usize) -> &AtomicPtr<Arc<T>> {
+        let (bucket, offset) = locate(index);
+        let mut base = self.buckets[bucket].load(Ordering::Acquire);
+        if base.is_null() {
+            let slice: Box<[AtomicPtr<Arc<T>>]> = (0..bucket_len(bucket))
+                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
+                .collect();
+            base = Box::into_raw(slice) as *mut AtomicPtr<Arc<T>>;
+            self.buckets[bucket].store(base, Ordering::Release);
+        }
+        // SAFETY: bucket is live and `offset < bucket_len(bucket)`.
+        unsafe { &*base.add(offset) }
+    }
+
     /// Whether `index` currently holds a value.
     #[inline]
     pub fn contains(&self, index: usize) -> bool {
@@ -127,20 +179,8 @@ impl<T: ?Sized> SlotTable<T> {
     /// was replaced.
     pub fn set(&self, index: usize, value: Arc<T>) -> bool {
         let mut retired = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let (bucket, offset) = locate(index);
-        let mut base = self.buckets[bucket].load(Ordering::Acquire);
-        if base.is_null() {
-            // Allocate the bucket; writers are serialized by the mutex so
-            // a plain store is enough.
-            let slice: Box<[AtomicPtr<Arc<T>>]> = (0..bucket_len(bucket))
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect();
-            base = Box::into_raw(slice) as *mut AtomicPtr<Arc<T>>;
-            self.buckets[bucket].store(base, Ordering::Release);
-        }
         let boxed = Box::into_raw(Box::new(value));
-        // SAFETY: bucket is live and `offset < bucket_len(bucket)`.
-        let old = unsafe { &*base.add(offset) }.swap(boxed, Ordering::AcqRel);
+        let old = self.slot_or_alloc(index).swap(boxed, Ordering::AcqRel);
         if old.is_null() {
             false
         } else {
@@ -856,6 +896,48 @@ mod tests {
             vec![0, 1, 64, 200, 4096]
         );
         assert_eq!(seen[0].1, "v0");
+    }
+
+    #[test]
+    fn slot_table_borrows_survive_replacement() {
+        let t: SlotTable<String> = SlotTable::new();
+        assert!(t.get_ref(3).is_none());
+        let first = t.get_or_insert_with(3, || Arc::new("first".into()));
+        let again = t.get_or_insert_with(3, || unreachable!("slot is filled"));
+        assert!(std::ptr::eq(first, again));
+        // A replaced value is retired, not freed: the old borrow stays
+        // valid while the table lives.
+        t.set(3, Arc::new("second".into()));
+        assert_eq!(first, "first");
+        assert_eq!(t.get_ref(3).map(String::as_str), Some("second"));
+        assert_eq!(
+            t.get_or_insert_with(5_000, || Arc::new("far".into())),
+            "far"
+        );
+    }
+
+    #[test]
+    fn slot_table_concurrent_first_insert_installs_once() {
+        let t = SlotTable::<AtomicUsize>::new();
+        let made = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    t.get_or_insert_with(9, || {
+                        made.fetch_add(1, Ordering::SeqCst);
+                        // Hold the slot empty long enough for every
+                        // thread to arrive while it is being filled.
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        Arc::new(AtomicUsize::new(0))
+                    })
+                    .fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(made.load(Ordering::SeqCst), 1);
+        assert_eq!(t.get_ref(9).unwrap().load(Ordering::SeqCst), 8);
     }
 
     #[test]

@@ -197,3 +197,37 @@ fn four_locality_mixed_traffic() {
     assert_eq!(coalesced_hits.load(Ordering::SeqCst), 600);
     assert_eq!(direct_hits.load(Ordering::SeqCst), 600);
 }
+
+#[test]
+fn wait_quiescent_counts_parcels_held_by_a_coalescer() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    // nparcels far above the traffic and a 20 ms flush interval: all ten
+    // parcels sit in the coalescing queue until its flush timer fires, so
+    // quiescence must wait for that flush and the deliveries behind it.
+    let rt = Runtime::new(RuntimeConfig::small_test());
+    let hits = Arc::new(AtomicU64::new(0));
+    let h = Arc::clone(&hits);
+    let act = rt.action("quiesce::held").register(move |_v: u64| {
+        h.fetch_add(1, Ordering::SeqCst);
+    });
+    let _control = rt
+        .enable_coalescing(
+            "quiesce::held",
+            CoalescingParams::new(1000, Duration::from_millis(20)),
+        )
+        .unwrap();
+    rt.run_on(0, move |ctx| {
+        for v in 0..10u64 {
+            ctx.apply(&act, 1, v);
+        }
+    });
+    assert!(rt.wait_quiescent(Duration::from_secs(10)), "never settled");
+    assert_eq!(
+        hits.load(Ordering::SeqCst),
+        10,
+        "wait_quiescent returned while parcels were still held"
+    );
+    rt.shutdown();
+}
